@@ -64,8 +64,8 @@ def test_fig5a_window_size_sweep(benchmark, results_dir):
 
     # PR 9 follow-up: the same sweep points through each exact MILP
     # backend tier. The assignment sweep above already warmed the
-    # shared window store, so every tier resolves windows from the
-    # plane and the split isolates *solver* cost per window size.
+    # window stage, so every tier resolves windows from the stage
+    # cache and the split isolates *solver* cost per window size.
     # All tiers are exact -- bus counts must match point for point.
     tier_split = {}
     for tier in MILP_TIERS:

@@ -297,10 +297,14 @@ class ResultCache:
             yield entry.stem
 
     def _entry_files(self):
-        """Every managed entry: ``.json`` files, ``.npz`` tensor
-        sidecars, and ``.mmap`` uncompressed-sidecar *directories* (see
-        :meth:`repro.pipeline.store.ArtifactStore.put_arrays`), with
-        the same foreign-file filtering as :meth:`keys`."""
+        """Every managed entry: ``.json`` files and ``.npz`` tensor
+        sidecars (see :meth:`repro.pipeline.store.ArtifactStore.put_arrays`),
+        with the same foreign-file filtering as :meth:`keys`.
+
+        Also yields legacy ``stage-*.mmap`` *directories*: an older
+        uncompressed sidecar tier that nothing writes or reads any more.
+        They stay managed so an upgraded cache directory's disk is still
+        counted, pruned and cleared rather than leaked."""
         if not self.cache_dir.is_dir():
             return
         for pattern in ("*.json", "*.npz", "*.mmap"):
@@ -314,7 +318,7 @@ class ResultCache:
     @staticmethod
     def _entry_size(path: Path) -> int:
         """One entry's footprint: the file's size, or the summed member
-        sizes for ``.mmap`` directory entries."""
+        sizes for legacy ``.mmap`` directory entries."""
         stat = path.stat()
         if not path.is_dir():
             return stat.st_size
@@ -350,8 +354,8 @@ class ResultCache:
         SIGKILLed server) leaves its temp file behind, invisible to
         :meth:`keys`/:meth:`prune` and accumulating forever. The sweep
         runs on construction and before :meth:`prune`, removing temp
-        files -- and temp *directories* from torn mmap-tier writes --
-        older than ``max_age_s`` (default :attr:`ORPHAN_TMP_AGE_S`);
+        files -- and temp *directories* from torn legacy ``.mmap``
+        writes -- older than ``max_age_s`` (default :attr:`ORPHAN_TMP_AGE_S`);
         the age guard keeps it from racing a *live* writer's in-flight
         temp file in a shared directory. Returns the number of entries
         removed.
@@ -372,8 +376,8 @@ class ResultCache:
         return removed
 
     def clear(self) -> int:
-        """Delete every entry (JSON, ``.npz`` sidecars, and ``.mmap``
-        sidecar directories); returns the number of entries removed."""
+        """Delete every entry (JSON, ``.npz`` sidecars, and legacy
+        ``.mmap`` directories); returns the number of entries removed."""
         removed = 0
         for path in list(self._entry_files()):
             try:
@@ -404,7 +408,7 @@ class ResultCache:
     def prune(self, max_bytes: int) -> int:
         """Evict least-recently-used entries until the cache fits.
 
-        Entries (JSON files, ``.npz`` sidecars and ``.mmap`` sidecar
+        Entries (JSON files, ``.npz`` sidecars and legacy ``.mmap``
         directories alike) are removed oldest-mtime-first (hits refresh
         mtime, so recently-used entries survive) until the remaining
         footprint is at most ``max_bytes``. Returns the number of

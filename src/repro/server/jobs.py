@@ -124,8 +124,7 @@ class Job:
         """Tally one stage event (wired to ``StageCounters.subscribe``)."""
         with self._lock:
             row = self.progress.setdefault(
-                stage,
-                {"computed": 0, "memo_hit": 0, "disk_hit": 0, "shm_hit": 0},
+                stage, {"computed": 0, "memo_hit": 0, "disk_hit": 0}
             )
             row[kind] = row.get(kind, 0) + 1
 

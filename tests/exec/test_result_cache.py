@@ -220,6 +220,53 @@ class TestUsageAndPrune:
         assert (tmp_path / "report.v2.json").exists()  # left untouched
 
 
+class TestCacheAccounting:
+    """Older releases wrote an uncompressed ``stage-<fp>.mmap/`` tier of
+    ``.npy`` members next to each ``.npz`` sidecar. Nothing writes or
+    reads it any more, but an upgraded cache directory still holds
+    those dirs: they must stay counted, pruned and cleared."""
+
+    @staticmethod
+    def _legacy_tier(cache_dir, name="stage-fp.mmap"):
+        tier = cache_dir / name
+        tier.mkdir()
+        (tier / "comm.npy").write_bytes(b"x" * 100)
+        (tier / "wo.npy").write_bytes(b"y" * 50)
+        return tier
+
+    def test_usage_counts_mmap_tier_dirs(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put_json(KEY_A, {"x": 1})
+        self._legacy_tier(tmp_path)
+        usage = cache.usage()
+        assert usage.entries == 2            # json file + legacy dir
+        assert usage.total_bytes >= 150
+
+    def test_prune_evicts_mmap_tier_dirs(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        tier = self._legacy_tier(tmp_path)
+        cache.prune(max_bytes=0)
+        assert cache.usage().entries == 0
+        assert not tier.exists()
+
+    def test_clear_removes_mmap_tier_dirs(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        tier = self._legacy_tier(tmp_path)
+        assert cache.clear() == 1
+        assert not tier.exists()
+
+    def test_orphan_sweep_reaps_torn_tier_writes(self, tmp_path):
+        import os
+        import time
+
+        cache = ResultCache(tmp_path)
+        torn = self._legacy_tier(tmp_path, ".tmp-abc123.mmap")
+        old = time.time() - 2 * 3600
+        os.utime(torn, (old, old))
+        assert cache.sweep_orphans() >= 1
+        assert not torn.exists()
+
+
 class TestConcurrency:
     """The daemon shares one cache across handler and worker threads;
     maintenance walks and statistics must survive the races."""

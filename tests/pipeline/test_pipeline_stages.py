@@ -1,5 +1,6 @@
 """Stage artifact, fingerprint and store semantics."""
 
+import numpy as np
 import pytest
 
 from repro.core import SynthesisConfig
@@ -144,6 +145,36 @@ class TestArtifactStore:
         store = ArtifactStore()
         store.put_payload("abc", {"x": 1})
         assert store.get_payload("abc") is None
+
+    @staticmethod
+    def _arrays():
+        return {
+            "comm": np.arange(24.0).reshape(2, 3, 4),
+            "wo": np.ones((3, 4), dtype=np.int64),
+        }
+
+    def test_put_skips_reserialize_when_sidecar_exists(
+        self, tmp_path, monkeypatch
+    ):
+        store = ArtifactStore(disk=ResultCache(tmp_path))
+        store.put_arrays("fp", self._arrays())
+
+        def _boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("re-serialized an existing sidecar")
+
+        monkeypatch.setattr(np, "savez_compressed", _boom)
+        store.put_arrays("fp", self._arrays())  # must not re-serialize
+        assert store.get_arrays("fp") is not None
+
+    def test_corrupt_npz_is_unlinked_for_rewrite(self, tmp_path):
+        store = ArtifactStore(disk=ResultCache(tmp_path))
+        store.put_arrays("fp", self._arrays())
+        (tmp_path / "stage-fp.npz").write_bytes(b"rotten")
+        assert store.get_arrays("fp") is None
+        # The rotten file must not shadow the next write-through.
+        assert not (tmp_path / "stage-fp.npz").exists()
+        store.put_arrays("fp", self._arrays())
+        assert store.get_arrays("fp") is not None
 
 
 class TestBindingPersistence:
