@@ -22,7 +22,7 @@ from _bench_utils import emit, engine_from_env, note_kernel_speedup
 BURST = 1_000
 WINDOWS = [200, 300, 400, 750, 1_000, 2_000, 3_000, 4_000, 50_000, 120_000]
 
-MILP_TIERS = ("highs", "portfolio")
+MILP_TIERS = ("highs",)
 TIER_WINDOWS = [200, 1_000, 4_000, 120_000]
 
 

@@ -24,7 +24,7 @@ from _bench_utils import emit, engine_from_env, note_kernel_speedup
 THRESHOLDS = [0.0, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50]
 WINDOW = 2_000  # twice the typical burst
 
-MILP_TIERS = ("highs", "portfolio")
+MILP_TIERS = ("highs",)
 TIER_THRESHOLDS = [0.0, 0.20, 0.50]
 
 

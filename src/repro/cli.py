@@ -59,6 +59,7 @@ from repro.core import (
 )
 from repro.errors import ReproError
 from repro.exec import ExecutionEngine
+from repro.milp import MILP_BACKENDS
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.profiling import PHASE_TIMER
@@ -131,7 +132,6 @@ class _PhaseProfile:
             PHASE_TIMER.reset()
             self._stages_begin = _stage_seconds_snapshot()
             self._solves_begin = _counter_snapshot("repro_solves_total")
-            self._races_begin = _counter_snapshot("repro_race_wins_total")
         self._begin = time.perf_counter()
 
     def report(self) -> None:
@@ -169,12 +169,6 @@ class _PhaseProfile:
             if delta:
                 kind, backend = key
                 solve_rows.append([kind, backend, int(delta)])
-        for key, value in sorted(
-            _counter_snapshot("repro_race_wins_total").items()
-        ):
-            delta = value - self._races_begin.get(key, 0)
-            if delta:
-                solve_rows.append(["race win", key[0], int(delta)])
         if solve_rows:
             print()
             print(
@@ -223,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="feasibility/binding solver backend",
     )
     design.add_argument(
-        "--milp-backend", choices=("reference", "highs", "portfolio"),
+        "--milp-backend", choices=MILP_BACKENDS,
         default=None,
         help="MILP solver tier for --backend milp (default: "
         "$REPRO_MILP_BACKEND, else the pure-Python reference solver)",
@@ -367,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="feasibility/binding solver backend",
     )
     inspect.add_argument(
-        "--milp-backend", choices=("reference", "highs", "portfolio"),
+        "--milp-backend", choices=MILP_BACKENDS,
         default=None,
         help="MILP solver tier for --backend milp (default: "
         "$REPRO_MILP_BACKEND, else the pure-Python reference solver)",

@@ -9,10 +9,10 @@ average-latency gap between random and optimal bindings, which
 
 Backend equivalence
 -------------------
-The MILP path may run on any of the :mod:`repro.milp` backends
-(reference B&B, native HiGHS, or the racing portfolio). All are exact,
-so they agree on the optimal *objective* -- but not necessarily on
-which optimal *point* they return when the optimum is degenerate.
+The MILP path may run on either :mod:`repro.milp` backend (reference
+B&B or native HiGHS). Both are exact, so they agree on the optimal
+*objective* -- but not necessarily on which optimal *point* they return
+when the optimum is degenerate.
 Reports and artifacts must be byte-identical regardless of backend, so
 once a solve proves the optimal objective ``V``, the returned binding
 is re-derived canonically: a deterministic assignment DFS
@@ -51,7 +51,6 @@ def milp_solver_options(
 ) -> BranchBoundOptions:
     """The :func:`solve_milp` options a synthesis config translates to."""
     return BranchBoundOptions(
-        lp_engine=config.lp_engine,
         node_limit=config.node_limit,
         feasibility_only=feasibility_only,
         backend=config.milp_backend,

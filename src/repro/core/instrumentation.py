@@ -102,7 +102,7 @@ class SolveCounter:
 
         ``backend`` names the solver tier that ran: ``"assignment"``
         (the specialized solver, default) or a MILP backend
-        (``reference`` / ``highs`` / ``portfolio``).
+        (``reference`` / ``highs``).
         """
         if kind not in ("feasibility", "binding"):
             raise ValueError(f"unknown solve kind {kind!r}")

@@ -33,17 +33,14 @@ class SynthesisConfig:
         ``"assignment"`` (specialized exact solver, default) or
         ``"milp"`` (the literal Eq. 3-11 formulation via
         :mod:`repro.milp`).
-    lp_engine:
-        LP relaxation engine for the MILP backend.
     milp_backend:
         MILP solver tier used when ``backend="milp"``: ``"reference"``
         (pure-Python branch and bound, the correctness oracle),
-        ``"highs"`` (native HiGHS MIP via scipy), ``"portfolio"``
-        (both raced, first proof wins), or ``None`` to resolve
-        ``REPRO_MILP_BACKEND`` at solve time. All tiers are exact, so
-        the choice never changes reported designs -- only how fast
-        they arrive (it is deliberately excluded from pipeline stage
-        fingerprints for the same reason).
+        ``"highs"`` (native HiGHS MIP via scipy), or ``None`` to
+        resolve ``REPRO_MILP_BACKEND`` at solve time. Both tiers are
+        exact, so the choice never changes reported designs -- only
+        how fast they arrive (it is deliberately excluded from
+        pipeline stage fingerprints for the same reason).
     use_criticality:
         Whether overlapping real-time streams force conflicts.
     node_limit:
@@ -63,7 +60,6 @@ class SynthesisConfig:
     overlap_threshold: float = 0.3
     max_targets_per_bus: Optional[int] = 4
     backend: str = "assignment"
-    lp_engine: str = "scipy"
     use_criticality: bool = True
     node_limit: int = 2_000_000
     variable_windows: bool = False
@@ -84,13 +80,16 @@ class SynthesisConfig:
             raise ConfigurationError(
                 f"backend must be 'assignment' or 'milp', got {self.backend!r}"
             )
-        if self.milp_backend is not None and self.milp_backend not in (
-            "reference", "highs", "portfolio",
-        ):
-            raise ConfigurationError(
-                "milp_backend must be 'reference', 'highs', 'portfolio' "
-                f"or None, got {self.milp_backend!r}"
-            )
+        if self.milp_backend is not None:
+            # Imported here, not at module level, so the config layer
+            # does not pull the solver stack (and scipy) in on import.
+            from repro.milp import MILP_BACKENDS
+
+            if self.milp_backend not in MILP_BACKENDS:
+                raise ConfigurationError(
+                    f"milp_backend must be one of {MILP_BACKENDS} or "
+                    f"None, got {self.milp_backend!r}"
+                )
         if self.node_limit < 1:
             raise ConfigurationError("node_limit must be positive")
         if self.variable_window_ratio < 1:

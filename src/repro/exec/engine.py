@@ -65,7 +65,6 @@ __all__ = [
     "ReplayOutcome",
     "ExecutionEngine",
     "StaleWorkerTraceError",
-    "preferred_mp_context",
 ]
 
 
@@ -301,20 +300,12 @@ def _evaluate_in_worker(
         )
 
 
-def preferred_mp_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork`` (cheap model/trace hand-off) where the OS offers it.
-
-    Shared by the engine's worker pools and the MILP racing portfolio
-    (:mod:`repro.milp.portfolio`), so every process the platform spawns
-    follows one start-method policy.
-    """
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Prefer ``fork`` (cheap model/trace hand-off) where the OS offers it."""
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-_pool_context = preferred_mp_context
 
 
 class ExecutionEngine:

@@ -15,11 +15,8 @@ knob (or the ``REPRO_MILP_BACKEND`` environment variable):
 ``highs``
     :mod:`repro.milp.highs_backend` -- the whole model handed to
     HiGHS native branch and bound via ``scipy.optimize.milp``.
-``portfolio``
-    :mod:`repro.milp.portfolio` -- reference and HiGHS raced in
-    parallel processes, first proven answer wins.
 
-All backends are exact, so they agree on feasibility verdicts and
+Both backends are exact, so they agree on feasibility verdicts and
 optimal objective values; they need *not* agree on which optimal point
 they return when the optimum is degenerate. Callers that must be
 byte-identical across backends (reports, artifacts) re-derive a
@@ -52,15 +49,20 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SolverError
 from repro.milp.expr import Variable
-from repro.milp.model import Model, StandardForm
-from repro.milp.simplex import LPStatus, SimplexResult, solve_lp_simplex
-from repro.milp.solution import Solution, SolveStatus, solution_from_vector
+from repro.milp.model import Model
+from repro.milp.solution import (
+    LPStatus,
+    SimplexResult,
+    Solution,
+    SolveStatus,
+    solution_from_vector,
+)
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.resilience import maybe_slow_solver
@@ -72,9 +74,7 @@ __all__ = [
     "resolve_default_backend",
 ]
 
-LPEngine = Callable[..., SimplexResult]
-
-MILP_BACKENDS = ("reference", "highs", "portfolio")
+MILP_BACKENDS = ("reference", "highs")
 
 _BACKEND_ENV = "REPRO_MILP_BACKEND"
 
@@ -87,11 +87,10 @@ _perf_counter = time.perf_counter
 
 # Solver observability: accumulated locally during the search and
 # recorded ONCE per solve -- never per node, whose count is the one
-# thing that must stay cheap. The LP-time histogram is what makes the
-# ROADMAP's HiGHS-vs-simplex comparison measurable; its ``backend``
-# label is what makes the portfolio race observable. Node counts stay
-# unlabelled: the warm-start benchmark diffs the single family total
-# across solves, and every backend reports into it.
+# thing that must stay cheap. The LP-time histogram's ``backend``
+# label splits reference relaxation time from whole HiGHS solves.
+# Node counts stay unlabelled: the warm-start benchmark diffs the
+# single family total across solves, and every backend reports into it.
 _SOLVER_NODES = _metrics.counter(
     "repro_solver_nodes_total",
     "Branch-and-bound nodes explored across all solves.",
@@ -129,13 +128,9 @@ class BranchBoundOptions:
 
     Attributes
     ----------
-    lp_engine:
-        ``"scipy"`` (default, HiGHS) or ``"simplex"`` (pure Python) --
-        the *node relaxation* engine of the reference solver. Ignored
-        by the ``highs`` backend, which never solves relaxations here.
     backend:
-        ``"reference"``, ``"highs"``, ``"portfolio"``, or ``None`` to
-        resolve ``REPRO_MILP_BACKEND`` at solve time (defaulting to
+        ``"reference"``, ``"highs"``, or ``None`` to resolve
+        ``REPRO_MILP_BACKEND`` at solve time (defaulting to
         ``"reference"``).
     node_limit:
         Maximum number of explored nodes before giving up.
@@ -154,7 +149,6 @@ class BranchBoundOptions:
         tail latency, not individual pivots.
     """
 
-    lp_engine: str = "scipy"
     node_limit: int = 200_000
     feasibility_only: bool = False
     absolute_gap: float = 1e-6
@@ -171,40 +165,6 @@ class BranchBoundOptions:
                 f"expected one of {MILP_BACKENDS}"
             )
         return self.backend
-
-    def resolve_engine(self) -> LPEngine:
-        """Return the LP relaxation solver callable."""
-        if self.lp_engine == "scipy":
-            from repro.milp.scipy_backend import solve_lp_scipy
-
-            return solve_lp_scipy
-        if self.lp_engine == "simplex":
-            return solve_lp_simplex
-        raise SolverError(f"unknown LP engine {self.lp_engine!r}")
-
-    def resolve_node_solver(
-        self, form: StandardForm
-    ) -> Callable[[np.ndarray, np.ndarray], SimplexResult]:
-        """A bounds-only relaxation solver specialized to ``form``.
-
-        Branch and bound re-solves one model with only variable bounds
-        changing between nodes, so the per-model conversion (objective,
-        constraint matrices) is hoisted here and each node passes just
-        its ``(lower, upper)`` arrays.
-        """
-        if self.lp_engine == "scipy":
-            from repro.milp.scipy_backend import make_lp_solver
-
-            return make_lp_solver(form)
-        engine = self.resolve_engine()
-
-        def solve(lower: np.ndarray, upper: np.ndarray) -> SimplexResult:
-            return engine(
-                form.objective, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
-                lower, upper,
-            )
-
-        return solve
 
 
 @dataclass(order=True)
@@ -229,7 +189,6 @@ def solve_milp(
     accounting = {"lp_s": 0.0, "incumbents": 0}
     with _tracing.span(
         "solver.milp",
-        engine=options.lp_engine,
         backend=backend,
         feasibility_only=options.feasibility_only,
     ) as span_:
@@ -238,12 +197,6 @@ def solve_milp(
 
             begin = _perf_counter()
             solution = solve_milp_highs(model, options, warm_values)
-            accounting["lp_s"] = _perf_counter() - begin
-        elif backend == "portfolio":
-            from repro.milp.portfolio import race_portfolio
-
-            begin = _perf_counter()
-            solution = race_portfolio(model, options, warm_values)
             accounting["lp_s"] = _perf_counter() - begin
         else:
             solution = _solve_impl(model, options, accounting, warm_values)
@@ -273,7 +226,12 @@ def _solve_impl(
     )
     form = model.to_standard_form()
     integer_indices = np.nonzero(form.integer_mask)[0]
-    node_solver = options.resolve_node_solver(form)
+    # Branch and bound re-solves one model with only variable bounds
+    # changing between nodes, so the per-model conversion is hoisted
+    # into ``make_lp_solver`` and each node passes just its bounds.
+    from repro.milp.scipy_backend import make_lp_solver
+
+    node_solver = make_lp_solver(form)
 
     # Warm start: a validated hint becomes the initial incumbent, so
     # every node whose relaxation bound is no better is pruned without

@@ -1,9 +1,6 @@
 """LP relaxation backend using scipy's HiGHS.
 
-Functionally interchangeable with :mod:`repro.milp.simplex` (the tests
-assert agreement on random instances); HiGHS is much faster on the larger
-binding formulations, so branch-and-bound defaults to it when scipy is
-importable.
+The reference branch and bound solves every LP relaxation here.
 
 Branch-and-bound re-solves the *same* model thousands of times with only
 variable bounds changing between nodes, so :func:`make_lp_solver`
@@ -21,7 +18,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from repro.errors import SolverError
-from repro.milp.simplex import LPStatus, SimplexResult
+from repro.milp.solution import LPStatus, SimplexResult
 
 __all__ = ["solve_lp_scipy", "make_lp_solver"]
 

@@ -1,4 +1,4 @@
-"""MILP solution and status objects."""
+"""MILP solution and status objects, and the LP relaxation result type."""
 
 from __future__ import annotations
 
@@ -6,9 +6,34 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.milp.expr import Variable
 
-__all__ = ["SolveStatus", "Solution", "solution_from_vector"]
+__all__ = [
+    "LPStatus",
+    "SimplexResult",
+    "SolveStatus",
+    "Solution",
+    "solution_from_vector",
+]
+
+
+class LPStatus(enum.Enum):
+    """Outcome of an LP relaxation solve."""
+
+    OPTIMAL = "optimal"
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
+
+
+@dataclass(frozen=True)
+class SimplexResult:
+    """LP solve outcome: status, point and objective value."""
+
+    status: LPStatus
+    x: Optional[np.ndarray]
+    objective: Optional[float]
 
 
 class SolveStatus(enum.Enum):

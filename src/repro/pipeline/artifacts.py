@@ -105,12 +105,10 @@ def binding_stage_spec(config: SynthesisConfig) -> Dict[str, Any]:
     exact and the binding layer canonicalizes optimal solutions, so the
     artifact content is backend-independent by construction. Keying it
     would split the cache by a knob that cannot change the bytes --
-    switching backends (or racing them) must keep reusing the same
-    solved bindings.
+    switching backends must keep reusing the same solved bindings.
     """
     return {
         "backend": config.backend,
-        "lp_engine": config.lp_engine,
         "max_targets_per_bus": config.max_targets_per_bus,
         "node_limit": config.node_limit,
     }

@@ -524,17 +524,14 @@ class SynthesisService:
             "by_backend": solves["by_backend"],
         }
         # Solver-tier visibility: the default MILP backend this process
-        # would resolve right now, plus portfolio race outcomes.
-        from repro.milp import race_win_counts, resolve_default_backend
+        # would resolve right now.
+        from repro.milp import resolve_default_backend
 
         try:
             default_backend = resolve_default_backend()
         except Exception:  # noqa: BLE001 - a bad env var must not 500 /v1/stats
             default_backend = "invalid"
-        payload["milp"] = {
-            "backend": default_backend,
-            "race_wins": race_win_counts(),
-        }
+        payload["milp"] = {"backend": default_backend}
         with self._stats_lock:
             payload["solves"]["in_process"] = self._solves
             payload["coalescing"]["cached_hits"] = self._cached_hits

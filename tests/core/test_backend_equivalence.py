@@ -3,11 +3,11 @@
 Every MILP backend is exact and the binding layer canonicalizes optimal
 solutions, so the *serialized* search/binding outputs -- what reports
 and persisted artifacts are built from -- must be byte-identical across
-``reference``, ``highs``, and ``portfolio``, and must match the default
-assignment backend (whose deterministic DFS is the canonical form).
-This is what licenses sharing binding artifacts across backends
-(``binding_stage_spec`` deliberately omits ``milp_backend``) and racing
-them in the portfolio without perturbing any output.
+``reference`` and ``highs``, and must match the default assignment
+backend (whose deterministic DFS is the canonical form). This is what
+licenses sharing binding artifacts across backends
+(``binding_stage_spec`` deliberately omits ``milp_backend``) without
+perturbing any output.
 """
 
 import dataclasses
@@ -122,8 +122,9 @@ class TestConfigValidation:
     def test_unknown_milp_backend_rejected(self):
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            SynthesisConfig(milp_backend="cplex")
+        for backend in ("cplex", "portfolio"):
+            with pytest.raises(ConfigurationError):
+                SynthesisConfig(milp_backend=backend)
 
     def test_milp_backend_excluded_from_stage_spec(self):
         from repro.pipeline.artifacts import binding_stage_spec

@@ -1,5 +1,7 @@
 """Cache hit/miss semantics and on-disk robustness."""
 
+import json
+
 import pytest
 
 from repro.core import BusBinding, CrossbarDesign, SynthesisConfig
@@ -101,6 +103,18 @@ class TestRobustness:
         (tmp_path / f"{KEY_A}.json").write_text(
             '{"format": "repro-result-v0"}', encoding="utf-8"
         )
+        assert cache.get(KEY_A) is None
+        assert cache.stats.invalid == 1
+
+    def test_unknown_config_key_is_a_miss(self, tmp_path):
+        """An entry written by an older build whose config carried a
+        field this build no longer has is a miss, never a crash."""
+        cache = ResultCache(tmp_path)
+        cache.put(KEY_A, _result())
+        path = tmp_path / f"{KEY_A}.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["config"]["lp_engine"] = "scipy"
+        path.write_text(json.dumps(payload), encoding="utf-8")
         assert cache.get(KEY_A) is None
         assert cache.stats.invalid == 1
 

@@ -1,7 +1,7 @@
 """Unit and property tests for the branch-and-bound MILP solver.
 
 Random small MILPs are verified against brute-force enumeration of the
-integer grid, with both LP engines.
+integer grid.
 """
 
 import itertools
@@ -9,7 +9,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SolverError
 from repro.milp import (
     BranchBoundOptions,
     LinExpr,
@@ -107,20 +106,6 @@ class TestKnownMILPs:
         solution = solve_milp(model, BranchBoundOptions(node_limit=3))
         assert solution.status in (SolveStatus.NODE_LIMIT, SolveStatus.INFEASIBLE)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SolverError):
-            BranchBoundOptions(lp_engine="gurobi").resolve_engine()
-
-    def test_simplex_engine_agrees_on_knapsack(self):
-        model = Model()
-        xs = [model.binary_var(f"x{i}") for i in range(4)]
-        model.add(LinExpr.total([3 * xs[0], 4 * xs[1], 2 * xs[2], 3 * xs[3]]) <= 6)
-        model.minimize(
-            LinExpr.total([-10 * xs[0], -13 * xs[1], -7 * xs[2], -8 * xs[3]])
-        )
-        solution = solve_milp(model, BranchBoundOptions(lp_engine="simplex"))
-        assert solution.objective == pytest.approx(-20)
-
 
 def brute_force(c, rows, ub):
     """Enumerate the integer grid; return the best objective or None."""
@@ -153,15 +138,15 @@ def random_milp(draw):
 
 class TestAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
-    @given(random_milp(), st.sampled_from(["scipy", "simplex"]))
-    def test_matches_enumeration(self, milp, engine):
+    @given(random_milp())
+    def test_matches_enumeration(self, milp):
         c, rows, ub = milp
         model = Model()
         xs = [model.integer_var(f"x{i}", upper=u) for i, u in enumerate(ub)]
         for row, rhs in rows:
             model.add(LinExpr.total(a * x for a, x in zip(row, xs)) <= rhs)
         model.minimize(LinExpr.total(ci * x for ci, x in zip(c, xs)))
-        solution = solve_milp(model, BranchBoundOptions(lp_engine=engine))
+        solution = solve_milp(model)
         expected = brute_force(c, rows, ub)
         if expected is None:
             assert solution.status is SolveStatus.INFEASIBLE
