@@ -31,7 +31,6 @@ Summary: Application-specific STbus crossbar generation (Murali & De Micheli, DA
 Requires-Python: >=3.10
 Requires-Dist: numpy>=1.24
 Requires-Dist: scipy>=1.10
-Requires-Dist: networkx>=3.0
 """
 
 WHEEL_FILE = f"""\

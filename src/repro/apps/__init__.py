@@ -25,6 +25,7 @@ from repro.apps.descriptor import Application, standard_platform
 from repro.apps.registry import (
     APPLICATIONS,
     build_application,
+    default_full_crossbar_run,
     default_full_crossbar_trace,
 )
 
@@ -33,5 +34,6 @@ __all__ = [
     "standard_platform",
     "APPLICATIONS",
     "build_application",
+    "default_full_crossbar_run",
     "default_full_crossbar_trace",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.apps.des import build_des
 from repro.apps.descriptor import Application
@@ -14,7 +14,15 @@ from repro.apps.synthetic import build_synthetic
 from repro.errors import ApplicationError
 from repro.traffic.trace import TrafficTrace
 
-__all__ = ["APPLICATIONS", "build_application", "default_full_crossbar_trace"]
+if TYPE_CHECKING:
+    from repro.pipeline.artifacts import CollectRun
+
+__all__ = [
+    "APPLICATIONS",
+    "build_application",
+    "default_full_crossbar_run",
+    "default_full_crossbar_trace",
+]
 
 APPLICATIONS: Dict[str, Callable[..., Application]] = {
     "mat1": build_mat1,
@@ -52,20 +60,37 @@ def build_application(name: str, **kwargs) -> Application:
     return application
 
 
-_DEFAULT_TRACES: Dict[str, TrafficTrace] = {}
+_DEFAULT_RUNS: Dict[str, "CollectRun"] = {}
 
 
-def default_full_crossbar_trace(name: str) -> TrafficTrace:
-    """The Phase-1 full-crossbar trace of a *default* registry build.
+def default_full_crossbar_run(
+    name: str, cache_dir: Optional[str] = None
+) -> "CollectRun":
+    """The Phase-1 full-crossbar run of a *default* registry build: its
+    trace and latency statistics.
 
-    Memoized per process: the platform simulation is deterministic, and
-    scenario suites, sweeps and examples repeatedly need the stock
-    applications' traffic -- one simulation per process serves every
-    consumer (the trace object is immutable, so sharing is safe).
-    Builds with keyword overrides are not cached; simulate those
-    explicitly.
+    The one collect entry point. Looked up in order: the per-process
+    memo (the platform simulation is deterministic, and scenario
+    suites, sweeps, examples and daemon jobs repeatedly need the stock
+    applications' traffic; the artifact is immutable, so sharing is
+    safe), then the ``collect-run`` stage persisted under ``cache_dir``
+    (when given), then a simulation, which fills both. Builds with
+    keyword overrides are not cached; simulate those explicitly.
     """
-    if name not in _DEFAULT_TRACES:
-        trace = build_application(name).simulate_full_crossbar().trace
-        _DEFAULT_TRACES[name] = trace
-    return _DEFAULT_TRACES[name]
+    run = _DEFAULT_RUNS.get(name)
+    if run is None:
+        from repro.exec.cache import ResultCache
+        from repro.pipeline import ArtifactStore, PipelineRunner
+
+        disk = ResultCache(cache_dir) if cache_dir is not None else None
+        runner = PipelineRunner(store=ArtifactStore(disk=disk))
+        run = runner.collect_run(build_application(name))
+        _DEFAULT_RUNS[name] = run
+    return run
+
+
+def default_full_crossbar_trace(
+    name: str, cache_dir: Optional[str] = None
+) -> TrafficTrace:
+    """The trace of :func:`default_full_crossbar_run`."""
+    return default_full_crossbar_run(name, cache_dir).trace

@@ -49,7 +49,12 @@ from repro.analysis import (
     format_table,
     window_size_sweep,
 )
-from repro.apps import APPLICATIONS, build_application
+from repro.apps import (
+    APPLICATIONS,
+    build_application,
+    default_full_crossbar_run,
+    default_full_crossbar_trace,
+)
 from repro.apps.synthetic import synthetic_trace
 from repro.core import (
     SynthesisConfig,
@@ -494,7 +499,7 @@ def _cmd_design(args) -> int:
     config = _config_from_args(args)
     profile = _PhaseProfile(args.profile, args.jobs)
     print(f"designing crossbars for {app.name} ({app.num_cores} cores) ...")
-    full_run = app.simulate_full_crossbar()
+    full_run = default_full_crossbar_run(args.app, args.cache_dir)
     result = engine.synthesize(
         full_run.trace,
         config,
@@ -514,7 +519,7 @@ def _cmd_design(args) -> int:
             result.design.ti.as_list(),
             app.sim_cycles * 4,
         )
-        full_stats = full_run.latency_stats()
+        full_stats = full_run.stats
         designed_stats = validation.latency_stats()
         print(
             format_table(
@@ -538,7 +543,7 @@ def _cmd_compare(args) -> int:
     app = build_application(args.app)
     engine = _engine_from_args(args)
     profile = _PhaseProfile(args.profile, args.jobs)
-    trace = app.simulate_full_crossbar().trace
+    trace = default_full_crossbar_trace(args.app, args.cache_dir)
     windowed = engine.synthesize(
         trace,
         SynthesisConfig(),
@@ -587,12 +592,11 @@ def _cmd_trace(args) -> int:
             "application's traffic trace (span mode needs an existing "
             "span-JSONL file instead)"
         )
-    app = build_application(args.app)
-    result = app.simulate_full_crossbar()
-    save_trace_jsonl(result.trace, args.output)
+    trace = default_full_crossbar_trace(args.app)
+    save_trace_jsonl(trace, args.output)
     print(
-        f"wrote {len(result.trace)} records "
-        f"({result.trace.total_cycles} cycles) to {args.output}"
+        f"wrote {len(trace)} records "
+        f"({trace.total_cycles} cycles) to {args.output}"
     )
     return 0
 
@@ -790,7 +794,7 @@ def _cmd_pipeline_inspect(args) -> int:
         f"running the staged flow for {app.name} "
         f"(window {window}, threshold {config.overlap_threshold:.0%}) ..."
     )
-    trace = app.simulate_full_crossbar().trace
+    trace = default_full_crossbar_trace(args.app)
     outcome = runner.design(trace, config, window, label=app.name)
     rows = [
         [stage, fingerprint[:12], summary]

@@ -20,9 +20,8 @@ the bus count, which tightens the binary search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.problem import CrossbarDesignProblem
@@ -30,6 +29,42 @@ from repro.core.spec import SynthesisConfig
 from repro.profiling import track_phase
 
 __all__ = ["ConflictAnalysis", "build_conflicts"]
+
+
+def _max_clique_size(neighbours: Sequence[int]) -> int:
+    """Size of the largest clique of a graph given as neighbour bitmasks.
+
+    ``neighbours[v]`` has bit ``u`` set when ``u`` and ``v`` are
+    adjacent. Bron--Kerbosch with pivoting, on int bitsets; a branch
+    stops once it cannot beat the best clique found so far. Conflict
+    graphs have at most a few dozen nodes, so this is instantaneous.
+    """
+    best = 0
+
+    def expand(size: int, candidates: int, excluded: int) -> None:
+        nonlocal best
+        if not candidates:
+            best = max(best, size)
+            return
+        if size + candidates.bit_count() <= best:
+            return
+        pool = candidates | excluded
+        pivot = max(
+            (v for v in range(len(neighbours)) if pool >> v & 1),
+            key=lambda v: (candidates & neighbours[v]).bit_count(),
+        )
+        rest = candidates & ~neighbours[pivot]
+        while rest:
+            bit = rest & -rest
+            v = bit.bit_length() - 1
+            expand(size + 1, candidates & neighbours[v],
+                   excluded & neighbours[v])
+            candidates &= ~bit
+            excluded |= bit
+            rest &= ~bit
+
+    expand(0, (1 << len(neighbours)) - 1, 0)
+    return best
 
 
 @dataclass(frozen=True)
@@ -60,16 +95,13 @@ class ConflictAnalysis:
     def clique_lower_bound(self) -> int:
         """Bus-count lower bound: size of the largest mutual-conflict
         clique (each member needs its own bus)."""
-        num_targets = self.matrix.shape[0]
         if not self.reasons:
             return 1
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_targets))
-        graph.add_edges_from(self.reasons)
-        best = 1
-        for clique in nx.find_cliques(graph):
-            best = max(best, len(clique))
-        return best
+        neighbours = [0] * self.matrix.shape[0]
+        for i, j in self.reasons:
+            neighbours[i] |= 1 << j
+            neighbours[j] |= 1 << i
+        return _max_clique_size(neighbours)
 
 
 def build_conflicts(

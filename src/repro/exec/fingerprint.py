@@ -34,6 +34,13 @@ CACHE_SCHEMA_VERSION = 1
 """Bump to invalidate every cached result when the encoding changes."""
 
 
+_ROW_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True
+)
+"""The encoder :func:`canonical_json` builds per call, built once for
+the per-record rows of :func:`trace_fingerprint`."""
+
+
 def canonical_json(payload: Any) -> str:
     """Serialize ``payload`` deterministically (sorted keys, no spaces)."""
     return json.dumps(
@@ -73,8 +80,8 @@ def trace_fingerprint(trace: TrafficTrace) -> str:
         }
     )
     digest.update(header.encode("utf-8"))
-    for record in trace.records:
-        row = (
+    rows = [
+        (
             record.initiator,
             record.target,
             record.kind.value,
@@ -89,7 +96,15 @@ def trace_fingerprint(trace: TrafficTrace) -> str:
             record.complete,
             int(record.critical),
         )
-        digest.update(canonical_json(row).encode("utf-8"))
+        for record in trace.records
+    ]
+    # The digest covers each row's canonical JSON back to back. One
+    # encoder call over the whole list yields exactly those encodings,
+    # joined by "," inside "[...]": rows hold only numbers and the kind
+    # name, so "],[" occurs only at row boundaries.
+    if rows:
+        encoded = _ROW_ENCODER.encode(rows)[1:-1].replace("],[", "][")
+        digest.update(encoded.encode("utf-8"))
     result = digest.hexdigest()
     trace.__dict__["_fingerprint"] = result
     return result

@@ -57,8 +57,8 @@ from repro.errors import SolverError
 from repro.milp.expr import Variable
 from repro.milp.model import Model
 from repro.milp.solution import (
+    LPResult,
     LPStatus,
-    SimplexResult,
     Solution,
     SolveStatus,
     solution_from_vector,
@@ -248,7 +248,7 @@ def _solve_impl(
         if options.feasibility_only:
             return _finish(SolveStatus.OPTIMAL, incumbent_x, incumbent_obj, form, 0)
 
-    def relax(overrides: Dict[int, Tuple[float, float]]) -> SimplexResult:
+    def relax(overrides: Dict[int, Tuple[float, float]]) -> LPResult:
         lower = form.lower.copy()
         upper = form.upper.copy()
         for index, (new_lower, new_upper) in overrides.items():
@@ -269,7 +269,7 @@ def _solve_impl(
         return Solution(SolveStatus.UNBOUNDED, nodes=1)
 
     heap: list[_Node] = [_Node(root.objective, 0, {})]
-    lp_cache: Dict[int, SimplexResult] = {0: root}
+    lp_cache: Dict[int, LPResult] = {0: root}
     nodes_explored = 0
     next_order = 1
 

@@ -18,20 +18,20 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from repro.errors import SolverError
-from repro.milp.solution import LPStatus, SimplexResult
+from repro.milp.solution import LPResult, LPStatus
 
 __all__ = ["solve_lp_scipy", "make_lp_solver"]
 
-NodeLPSolver = Callable[[np.ndarray, np.ndarray], SimplexResult]
+NodeLPSolver = Callable[[np.ndarray, np.ndarray], LPResult]
 
 
-def _from_linprog(result) -> SimplexResult:
+def _from_linprog(result) -> LPResult:
     if result.status == 0:
-        return SimplexResult(LPStatus.OPTIMAL, np.asarray(result.x), float(result.fun))
+        return LPResult(LPStatus.OPTIMAL, np.asarray(result.x), float(result.fun))
     if result.status == 2:
-        return SimplexResult(LPStatus.INFEASIBLE, None, None)
+        return LPResult(LPStatus.INFEASIBLE, None, None)
     if result.status == 3:
-        return SimplexResult(LPStatus.UNBOUNDED, None, None)
+        return LPResult(LPStatus.UNBOUNDED, None, None)
     raise SolverError(f"linprog failed: status={result.status} ({result.message})")
 
 
@@ -43,7 +43,7 @@ def solve_lp_scipy(
     b_eq: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-) -> SimplexResult:
+) -> LPResult:
     """Solve an LP with ``scipy.optimize.linprog`` (HiGHS method)."""
     bounds = list(zip(lower, upper))
     result = linprog(
@@ -73,7 +73,7 @@ def make_lp_solver(form) -> NodeLPSolver:
     a_eq = csr_matrix(form.a_eq) if form.a_eq.size else None
     b_eq = np.asarray(form.b_eq, dtype=float) if form.a_eq.size else None
 
-    def solve(lower: np.ndarray, upper: np.ndarray) -> SimplexResult:
+    def solve(lower: np.ndarray, upper: np.ndarray) -> LPResult:
         result = linprog(
             c,
             A_ub=a_ub,

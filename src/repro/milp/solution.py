@@ -12,7 +12,7 @@ from repro.milp.expr import Variable
 
 __all__ = [
     "LPStatus",
-    "SimplexResult",
+    "LPResult",
     "SolveStatus",
     "Solution",
     "solution_from_vector",
@@ -28,7 +28,7 @@ class LPStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SimplexResult:
+class LPResult:
     """LP solve outcome: status, point and objective value."""
 
     status: LPStatus

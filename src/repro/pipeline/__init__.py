@@ -24,7 +24,8 @@ Contracts
   request before committing solver work.
 * **Caching.** Live artifacts memoize in the
   :class:`~repro.pipeline.store.ArtifactStore`'s LRU; JSON-serializable
-  stages (bindings, replays) and windowed tensors (``.npz`` sidecars)
+  stages (bindings, replays) and tensors (``.npz`` sidecars: windowed
+  analyses, Phase-1 collection runs)
   additionally persist through a
   :class:`~repro.exec.cache.ResultCache` directory shared with
   whole-result entries. A stale hit is impossible: any input change
@@ -39,6 +40,7 @@ from repro.pipeline.artifacts import (
     STAGE_SCHEMA_VERSION,
     BindingArtifact,
     CollectedTraffic,
+    CollectRun,
     ConflictArtifact,
     ReplayArtifact,
     WindowedAnalysis,
@@ -56,6 +58,7 @@ from repro.pipeline.store import ArtifactStore, StageCounters
 
 __all__ = [
     "STAGE_SCHEMA_VERSION",
+    "CollectRun",
     "CollectedTraffic",
     "WindowedAnalysis",
     "ConflictArtifact",

@@ -21,6 +21,7 @@ configuration fields that stage consumes. Two consequences follow:
 The artifact types mirror the paper's stages one-to-one:
 
 =====================  ==============================================
+:class:`CollectRun`         Phase 1 -- the full-crossbar simulation run
 :class:`CollectedTraffic`   Phase 1 -- the full-crossbar traffic trace
 :class:`WindowedAnalysis`   Phase 2 -- one side's windowed design problem
 :class:`ConflictArtifact`   Phase 3 -- the conflict matrix
@@ -34,12 +35,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict
 
+import numpy as np
+
 from repro.core.preprocess import ConflictAnalysis
 from repro.core.problem import CrossbarDesignProblem
 from repro.core.search import SearchOutcome
 from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
-from repro.exec.fingerprint import canonical_json, sha256_hex, trace_fingerprint
+from repro.exec.fingerprint import (
+    CACHE_SCHEMA_VERSION,
+    canonical_json,
+    sha256_hex,
+    trace_fingerprint,
+)
+from repro.platform.fabric import full_crossbar_binding
 from repro.platform.metrics import LatencyStats
+from repro.platform.soc import SimulationResult
+from repro.traffic.events import TraceRecord, TransactionKind
 from repro.traffic.trace import TrafficTrace
 
 __all__ = [
@@ -50,6 +61,8 @@ __all__ = [
     "binding_stage_spec",
     "warm_hint_key",
     "replay_stage_spec",
+    "collect_stage_spec",
+    "CollectRun",
     "CollectedTraffic",
     "WindowedAnalysis",
     "ConflictArtifact",
@@ -156,6 +169,153 @@ def replay_stage_spec(
         "ti": list(design.ti.binding),
         "budget": int(budget),
     }
+
+
+def collect_stage_spec(
+    workload_key: Dict[str, Any],
+    num_initiators: int,
+    num_targets: int,
+    budget: int,
+) -> Dict[str, Any]:
+    """What determines a Phase-1 collection run: workload + the full
+    crossbar it runs on + budget.
+
+    ``CACHE_SCHEMA_VERSION`` is folded in because a program workload is
+    keyed by name (``app:<name>``), not by its programs or the simulator
+    that runs them: a change to either must bump that version, which
+    moves this key and every trace fingerprint with it.
+    """
+    return {
+        "schema": CACHE_SCHEMA_VERSION,
+        "workload": workload_key,
+        "it": full_crossbar_binding(num_targets),
+        "ti": full_crossbar_binding(num_initiators),
+        "budget": int(budget),
+    }
+
+
+_KINDS = tuple(TransactionKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+
+_RECORD_COLUMNS = (
+    "initiator", "target", "kind", "burst", "issue", "it_grant",
+    "it_release", "service_start", "service_end", "ti_grant",
+    "ti_release", "complete", "critical",
+)
+"""Column order of the ``records`` array of a collect-run sidecar."""
+
+
+@dataclass(frozen=True)
+class CollectRun:
+    """Phase 1 simulation output: a workload's full-crossbar trace plus
+    the run's packet-latency statistics.
+
+    ``fingerprint`` is the stage fingerprint (workload, fabric, budget),
+    not the trace's content hash. The artifact persists as a tensor
+    sidecar (:meth:`arrays`, the records as integer columns) plus a
+    JSON header (:meth:`header`) carrying the trace's content hash, which
+    :meth:`from_stored` re-derives from the loaded records: a stored
+    trace is accepted only when it hashes to what was simulated.
+    """
+
+    trace: TrafficTrace
+    stats: LatencyStats
+    fingerprint: str
+
+    @classmethod
+    def from_result(
+        cls, result: SimulationResult, fingerprint: str
+    ) -> "CollectRun":
+        return cls(
+            trace=result.trace,
+            stats=result.latency_stats(),
+            fingerprint=fingerprint,
+        )
+
+    def header(self) -> Dict[str, Any]:
+        """JSON-ready header for the persistent stage store."""
+        return {
+            "trace_fingerprint": trace_fingerprint(self.trace),
+            "total_cycles": self.trace.total_cycles,
+            "num_records": len(self.trace),
+            "stats": _stats_payload(self.stats),
+        }
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The trace as plain arrays for the ``.npz`` sidecar."""
+        records = self.trace.records
+        streams = sorted({record.stream for record in records})
+        index = {name: position for position, name in enumerate(streams)}
+        rows = [
+            (
+                r.initiator, r.target, _KIND_CODES[r.kind], r.burst,
+                r.issue, r.it_grant, r.it_release, r.service_start,
+                r.service_end, r.ti_grant, r.ti_release, r.complete,
+                int(r.critical),
+            )
+            for r in records
+        ]
+        return {
+            "records": np.asarray(rows, dtype=np.int64).reshape(
+                -1, len(_RECORD_COLUMNS)
+            ),
+            "streams": np.asarray(
+                [index[r.stream] for r in records], dtype=np.int64
+            ),
+            "stream_names": np.asarray(streams, dtype=np.str_),
+            "target_names": np.asarray(self.trace.target_names, dtype=np.str_),
+            "initiator_names": np.asarray(
+                self.trace.initiator_names, dtype=np.str_
+            ),
+        }
+
+    @classmethod
+    def from_stored(
+        cls,
+        header: Dict[str, Any],
+        arrays: Dict[str, np.ndarray],
+        fingerprint: str,
+    ) -> "CollectRun":
+        """Decode what :meth:`header` and :meth:`arrays` wrote.
+
+        Raises ``KeyError``/``IndexError``/``TypeError``/``ValueError``
+        or :class:`~repro.errors.ReproError` on malformed entries, and
+        ``ValueError`` when the records do not hash to the header's
+        trace fingerprint; the runner treats all of them as misses.
+        """
+        stream_names = [str(name) for name in arrays["stream_names"]]
+        target_names = [str(name) for name in arrays["target_names"]]
+        initiator_names = [str(name) for name in arrays["initiator_names"]]
+        rows = np.asarray(arrays["records"]).tolist()
+        streams = np.asarray(arrays["streams"]).tolist()
+        if len(rows) != len(streams) or len(rows) != header["num_records"]:
+            raise ValueError("collect-run sidecar has the wrong record count")
+        records = [
+            TraceRecord(
+                initiator=row[0], target=row[1], kind=_KINDS[row[2]],
+                burst=row[3], issue=row[4], it_grant=row[5],
+                it_release=row[6], service_start=row[7],
+                service_end=row[8], ti_grant=row[9], ti_release=row[10],
+                complete=row[11], critical=bool(row[12]),
+                stream=stream_names[stream],
+            )
+            for row, stream in zip(rows, streams)
+        ]
+        trace = TrafficTrace(
+            records,
+            num_initiators=len(initiator_names),
+            num_targets=len(target_names),
+            total_cycles=int(header["total_cycles"]),
+            target_names=target_names,
+            initiator_names=initiator_names,
+        )
+        if trace_fingerprint(trace) != header["trace_fingerprint"]:
+            raise ValueError("collect-run records do not match their header")
+        return cls(
+            trace=trace,
+            stats=_stats_from_payload(header["stats"]),
+            fingerprint=fingerprint,
+        )
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -56,17 +58,19 @@ from repro.core.validate import audit_binding
 from repro.pipeline.artifacts import (
     BindingArtifact,
     CollectedTraffic,
+    CollectRun,
     ConflictArtifact,
     ReplayArtifact,
     WindowedAnalysis,
     binding_stage_spec,
+    collect_stage_spec,
     conflict_stage_spec,
     replay_stage_spec,
     stage_fingerprint,
     warm_hint_key,
     window_stage_spec,
 )
-from repro.errors import ConfigurationError, SynthesisError
+from repro.errors import ConfigurationError, ReproError, SynthesisError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.pipeline.store import ArtifactStore
@@ -74,6 +78,9 @@ from repro.platform.drivers import WorkloadDriver, simulate_workload
 from repro.profiling import track_phase
 from repro.traffic.criticality import CriticalityReport
 from repro.traffic.trace import TrafficTrace
+
+if TYPE_CHECKING:
+    from repro.apps.descriptor import Application
 
 __all__ = [
     "SideArtifacts",
@@ -178,6 +185,81 @@ class PipelineRunner:
         self.counters.record_computed(stage)
         artifact = _timed_stage(stage, fingerprint, compute)
         self.store.put(fingerprint, artifact)
+        return artifact
+
+    # -- phase 1: the full-crossbar collection run ---------------------
+
+    def collect_fingerprint(self, driver: WorkloadDriver) -> Optional[str]:
+        """The collect-run stage's content fingerprint, or ``None`` when
+        the workload cannot be content-addressed (unkeyed drivers)."""
+        try:
+            workload_key = driver.workload_key()
+        except ConfigurationError:
+            return None
+        platform = driver.platform
+        return stage_fingerprint(
+            "collect-run",
+            None,
+            collect_stage_spec(
+                workload_key,
+                platform.num_initiators,
+                platform.num_targets,
+                driver.sim_cycles,
+            ),
+        )
+
+    def collect_run(self, application: "Application") -> CollectRun:
+        """Simulate ``application`` on a full crossbar, as a cached stage.
+
+        Keyed like a replay: the driver's workload key, the
+        full-crossbar binding and the cycle budget. A hit serves the
+        in-memory artifact, else the persisted one (an ``.npz`` sidecar
+        of the records plus a JSON header); a sidecar whose records do
+        not hash to the header's trace fingerprint is dropped and the
+        run simulated again. Unkeyed (customized) applications are
+        simulated but never cached.
+        """
+        fingerprint = self.collect_fingerprint(application.driver())
+        if fingerprint is not None:
+            cached = self._stored_collect_run(fingerprint)
+            if cached is not None:
+                return cached
+        self.counters.record_computed("collect-run")
+        artifact = _timed_stage(
+            "collect-run",
+            fingerprint or "",
+            lambda: CollectRun.from_result(
+                application.simulate_full_crossbar(), fingerprint or ""
+            ),
+        )
+        if fingerprint is not None:
+            if self.retain_traces:
+                self.store.put(fingerprint, artifact)
+            if self.store.disk is not None:
+                # Sidecar first: the header marks the entry whole.
+                self.store.put_arrays(fingerprint, artifact.arrays())
+                self.store.put_payload(fingerprint, artifact.header())
+        return artifact
+
+    def _stored_collect_run(self, fingerprint: str) -> Optional[CollectRun]:
+        cached = self.store.get(fingerprint)
+        if cached is not None:
+            self.counters.record_memo_hit("collect-run")
+            return cached
+        header = self.store.get_payload(fingerprint)
+        if header is None:
+            return None
+        arrays = self.store.get_arrays(fingerprint)
+        if arrays is None:
+            return None
+        try:
+            artifact = CollectRun.from_stored(header, arrays, fingerprint)
+        except (KeyError, IndexError, TypeError, ValueError, ReproError):
+            self.store.drop_arrays(fingerprint)
+            return None
+        self.counters.record_disk_hit("collect-run")
+        if self.retain_traces:
+            self.store.put(fingerprint, artifact)
         return artifact
 
     # -- phase 1: traffic collection ----------------------------------

@@ -352,19 +352,27 @@ class ArtifactStore:
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
             # Corrupt sidecar: recompute and overwrite. BadZipFile is
             # what a truncated ``.npz`` (a torn write, a full disk)
-            # actually raises -- it is not an OSError. Drop the bad
-            # file here: ``put_arrays`` skips existing sidecars, so a
-            # corrupt one must not shadow the rewrite.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            # actually raises -- it is not an OSError.
+            self.drop_arrays(fingerprint)
             return None
         try:
             os.utime(path)  # keep LRU pruning honest on sidecar hits
         except OSError:  # pragma: no cover - best-effort bookkeeping
             pass
         return arrays
+
+    def drop_arrays(self, fingerprint: str) -> None:
+        """Delete a sidecar that turned out unusable (best-effort).
+
+        :meth:`put_arrays` skips existing sidecars, so a corrupt one
+        must go before the recomputed arrays can replace it.
+        """
+        if self.disk is None:
+            return
+        try:
+            os.unlink(self._sidecar_path(fingerprint))
+        except OSError:
+            pass
 
     def put_arrays(
         self, fingerprint: str, arrays: Mapping[str, np.ndarray]

@@ -1,8 +1,13 @@
 """Unit tests for the conflict-matrix pre-processing phase."""
 
+from itertools import combinations
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SynthesisConfig, build_conflicts
+from repro.core.preprocess import ConflictAnalysis
 
 from tests.core.conftest import problem_from_activity
 
@@ -120,3 +125,41 @@ class TestAnalysisProperties:
         assert analysis.clique_lower_bound() == 1
         assert analysis.num_conflicts == 0
         assert analysis.conflicting_pairs() == []
+
+
+def _brute_force_clique(num_nodes, edges):
+    """Largest vertex subset whose pairs are all edges (at least 1)."""
+    best = 1
+    for mask in range(1, 1 << num_nodes):
+        members = [v for v in range(num_nodes) if mask >> v & 1]
+        if len(members) > best and all(
+            (i, j) in edges for i, j in combinations(members, 2)
+        ):
+            best = len(members)
+    return best
+
+
+@st.composite
+def conflict_graphs(draw):
+    num_nodes = draw(st.integers(min_value=1, max_value=10))
+    pairs = list(combinations(range(num_nodes), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs),
+                           max_size=len(pairs)))
+    return num_nodes, {pair for pair, keep in zip(pairs, chosen) if keep}
+
+
+class TestCliqueLowerBound:
+    @given(conflict_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_subset_enumeration(self, graph):
+        num_nodes, edges = graph
+        matrix = np.zeros((num_nodes, num_nodes), dtype=bool)
+        for i, j in edges:
+            matrix[i, j] = matrix[j, i] = True
+        analysis = ConflictAnalysis(
+            matrix=matrix,
+            reasons={pair: frozenset({"threshold"}) for pair in edges},
+        )
+        assert analysis.clique_lower_bound() == _brute_force_clique(
+            num_nodes, edges
+        )

@@ -1,5 +1,6 @@
 """Fingerprint canonicality: stability across processes and sensitivity."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from dataclasses import replace
 from repro.apps.synthetic import synthetic_trace
 from repro.core import SynthesisConfig
 from repro.exec import config_fingerprint, task_key, trace_fingerprint
+from repro.exec.fingerprint import CACHE_SCHEMA_VERSION, canonical_json
+from repro.traffic.trace import TrafficTrace
 
 TRACE_KWARGS = dict(
     burst_cycles=200, total_cycles=8_000, num_initiators=4, num_targets=4,
@@ -19,7 +22,37 @@ def _make_trace():
     return synthetic_trace(**TRACE_KWARGS)
 
 
+def _per_record_digest(trace):
+    """The trace digest as first defined: one canonical-JSON row hashed
+    per record."""
+    digest = hashlib.sha256()
+    digest.update(canonical_json({
+        "schema": CACHE_SCHEMA_VERSION,
+        "num_initiators": trace.num_initiators,
+        "num_targets": trace.num_targets,
+        "total_cycles": trace.total_cycles,
+        "num_records": len(trace),
+    }).encode("utf-8"))
+    for r in trace.records:
+        row = (r.initiator, r.target, r.kind.value, r.burst, r.issue,
+               r.it_grant, r.it_release, r.service_start, r.service_end,
+               r.ti_grant, r.ti_release, r.complete, int(r.critical))
+        digest.update(canonical_json(row).encode("utf-8"))
+    return digest.hexdigest()
+
+
 class TestTraceFingerprint:
+    def test_equals_per_record_encoding(self):
+        """Batch encoding keeps every existing cache key: the digest is
+        byte-for-byte the per-record one, critical flags and an empty
+        trace included."""
+        critical = synthetic_trace(**{**TRACE_KWARGS, "critical_targets": (1,)})
+        assert any(record.critical for record in critical.records)
+        empty = TrafficTrace([], num_initiators=2, num_targets=2,
+                             total_cycles=10)
+        for trace in (_make_trace(), critical, empty):
+            assert trace_fingerprint(trace) == _per_record_digest(trace)
+
     def test_deterministic_within_process(self):
         assert trace_fingerprint(_make_trace()) == trace_fingerprint(
             _make_trace()
