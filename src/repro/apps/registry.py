@@ -79,11 +79,9 @@ def default_full_crossbar_run(
     """
     run = _DEFAULT_RUNS.get(name)
     if run is None:
-        from repro.exec.cache import ResultCache
-        from repro.pipeline import ArtifactStore, PipelineRunner
+        from repro.pipeline import PipelineRunner
 
-        disk = ResultCache(cache_dir) if cache_dir is not None else None
-        runner = PipelineRunner(store=ArtifactStore(disk=disk))
+        runner = PipelineRunner.for_cache_dir(cache_dir)
         run = runner.collect_run(build_application(name))
         _DEFAULT_RUNS[name] = run
     return run

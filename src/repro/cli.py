@@ -777,8 +777,7 @@ def _cmd_pipeline_inspect_suite(args) -> int:
 def _cmd_pipeline_inspect(args) -> int:
     from pathlib import Path
 
-    from repro.exec.cache import ResultCache
-    from repro.pipeline import ArtifactStore, PipelineRunner, describe_stages
+    from repro.pipeline import PipelineRunner, describe_stages
     from repro.scenarios import SUITES
 
     if args.app not in APPLICATIONS and (
@@ -787,8 +786,7 @@ def _cmd_pipeline_inspect(args) -> int:
         return _cmd_pipeline_inspect_suite(args)
     app = build_application(args.app)
     config = _config_from_args(args)
-    disk = ResultCache(args.cache_dir) if args.cache_dir else None
-    runner = PipelineRunner(store=ArtifactStore(disk=disk))
+    runner = PipelineRunner.for_cache_dir(args.cache_dir or None)
     window = args.window or app.default_window
     print(
         f"running the staged flow for {app.name} "

@@ -28,10 +28,15 @@ crashes (``repro.resilience`` fault point ``worker.crash``).
 Every point is solved through the staged pipeline
 (:mod:`repro.pipeline`): the engine hands the task to
 :class:`~repro.core.synthesis.CrossbarSynthesizer`, which composes
-collect/window/conflict/bind stages over the process-shared artifact
-store. Sweep points over one trace therefore share the collection and
-windowing artifacts (a threshold sweep re-windows nothing), both in the
-serial path and within each pool worker.
+collect/window/conflict/bind stages over an artifact store. Sweep points
+over one trace therefore share the collection and windowing artifacts
+(a threshold sweep re-windows nothing), both in the serial path and
+within each pool worker. Without a cache that store is the
+process-shared one; with a cache it is a disk-backed runner on the
+cache directory (:meth:`~repro.pipeline.PipelineRunner.for_cache_dir`),
+so stage entries -- windowed tensors, solved bindings keyed by conflict
+graph, replayed latencies -- outlive the process, and a point the
+whole-result cache misses still skips every stage it has seen.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.spec import SynthesisConfig
 from repro.core.synthesis import CrossbarSynthesizer
@@ -57,6 +64,9 @@ from repro.platform.metrics import LatencyStats
 from repro.platform.soc import SoCConfig
 from repro.traffic.kernels import warm_analytics
 from repro.traffic.trace import TrafficTrace
+
+if TYPE_CHECKING:
+    from repro.pipeline import PipelineRunner, ReplayArtifact
 
 __all__ = [
     "SynthesisTask",
@@ -215,7 +225,11 @@ def _install_worker_trace(
 
 
 def _solve_task_in_worker(
-    index: int, task: SynthesisTask, expected_digest: str, attempt: int = 0
+    index: int,
+    task: SynthesisTask,
+    expected_digest: str,
+    attempt: int = 0,
+    cache_dir: Optional[str] = None,
 ) -> Tuple[int, SynthesisResult]:
     # Fault keys carry the attempt number, so a plan matching ``*:a0``
     # kills the first attempt and lets the retry through -- the chaos
@@ -235,13 +249,24 @@ def _solve_task_in_worker(
         attempt=attempt,
         window=task.window_size,
     ):
-        return index, _solve_task(_WORKER_TRACE, task)
+        pipeline = None
+        if cache_dir is not None:
+            from repro.pipeline import PipelineRunner
+
+            pipeline = PipelineRunner.for_cache_dir(cache_dir)
+        return index, _solve_task(_WORKER_TRACE, task, pipeline)
 
 
-def _solve_task(trace: TrafficTrace, task: SynthesisTask) -> SynthesisResult:
-    report = CrossbarSynthesizer(task.config).design_from_trace(
-        trace, task.window_size
-    )
+def _solve_task(
+    trace: TrafficTrace,
+    task: SynthesisTask,
+    pipeline: Optional["PipelineRunner"] = None,
+) -> SynthesisResult:
+    """Solve one point through ``pipeline`` (the process-shared runner
+    when ``None``)."""
+    report = CrossbarSynthesizer(
+        task.config, pipeline=pipeline
+    ).design_from_trace(trace, task.window_size)
     return SynthesisResult.from_report(report)
 
 
@@ -260,43 +285,33 @@ def _solve_batch_item(
         return index, _solve_task(trace, task)
 
 
-def _simulate_outcome(
-    application,
-    it_binding,
-    ti_binding,
-    label: str,
-    bus_count: int,
-    budget: int,
-) -> EvaluationOutcome:
-    """The one place an evaluation simulation becomes an outcome (both
-    the serial and the pool-worker path go through it)."""
-    result = application.simulate(list(it_binding), list(ti_binding), budget)
-    return EvaluationOutcome(
-        label=label,
-        bus_count=bus_count,
-        stats=result.latency_stats(),
-        critical_stats=result.latency_stats(critical_only=True),
-        finished=result.finished,
+def _simulate_design(
+    application, design, budget: int, fingerprint: Optional[str]
+) -> "ReplayArtifact":
+    """The one place an evaluation simulation runs (both the serial and
+    the pool-worker path go through it)."""
+    from repro.pipeline.runner import simulate_replay
+
+    return simulate_replay(
+        application.driver(), design, budget, fingerprint or "", design.label
     )
 
 
 def _evaluate_in_worker(
     index: int,
     registry_key: str,
-    it_binding: Tuple[int, ...],
-    ti_binding: Tuple[int, ...],
-    label: str,
-    bus_count: int,
+    design,
     budget: int,
+    fingerprint: Optional[str],
     attempt: int = 0,
-) -> Tuple[int, EvaluationOutcome]:
+) -> Tuple[int, "ReplayArtifact"]:
     maybe_crash_worker(f"{index}:a{attempt}")
     from repro.apps import build_application
 
     with _tracing.span("worker.evaluate", index=index, attempt=attempt):
         application = build_application(registry_key)
-        return index, _simulate_outcome(
-            application, it_binding, ti_binding, label, bus_count, budget
+        return index, _simulate_design(
+            application, design, budget, fingerprint
         )
 
 
@@ -490,6 +505,19 @@ class ExecutionEngine:
                 pool.shutdown(wait=True, cancel_futures=True)
         return [results[index] for index in range(count)]
 
+    def _stage_runner(self) -> Optional["PipelineRunner"]:
+        """A stage runner persisting under the cache directory, or
+        ``None`` (the process-shared runner) without a cache.
+
+        Built per call on a :class:`ResultCache` instance of its own, so
+        stage entries never count in :attr:`cache`'s hit/miss statistics.
+        """
+        if self.cache is None:
+            return None
+        from repro.pipeline import PipelineRunner
+
+        return PipelineRunner.for_cache_dir(self.cache.cache_dir)
+
     # -- synthesis ----------------------------------------------------
 
     def synthesize(
@@ -566,15 +594,22 @@ class ExecutionEngine:
         # compiling per sweep point.
         with _tracing.span("engine.sweep", tasks=len(tasks)):
             warm_analytics(trace)
+            pipeline = self._stage_runner()
             if self.jobs > 1 and len(tasks) > 1:
-                return self._solve_parallel(trace, tasks)
-            return [_solve_task(trace, task) for task in tasks]
+                return self._solve_parallel(trace, tasks, pipeline)
+            return [_solve_task(trace, task, pipeline) for task in tasks]
 
     def _solve_parallel(
-        self, trace: TrafficTrace, tasks: Sequence[SynthesisTask]
+        self,
+        trace: TrafficTrace,
+        tasks: Sequence[SynthesisTask],
+        pipeline: Optional["PipelineRunner"],
     ) -> List[SynthesisResult]:
         workers = min(self.jobs, len(tasks))
         digest = trace_fingerprint(trace)
+        # Workers open the cache directory themselves (a path pickles;
+        # a runner's store and its lock do not).
+        cache_dir = str(self.cache.cache_dir) if self.cache is not None else None
 
         def make_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
@@ -586,11 +621,16 @@ class ExecutionEngine:
 
         def submit_one(pool: ProcessPoolExecutor, index: int, attempt: int):
             return pool.submit(
-                _solve_task_in_worker, index, tasks[index], digest, attempt
+                _solve_task_in_worker,
+                index,
+                tasks[index],
+                digest,
+                attempt,
+                cache_dir,
             )
 
         def serial_one(index: int) -> SynthesisResult:
-            return _solve_task(trace, tasks[index])
+            return _solve_task(trace, tasks[index], pipeline)
 
         return self._pool_map(len(tasks), make_pool, submit_one, serial_one)
 
@@ -740,34 +780,79 @@ class ExecutionEngine:
     ) -> List[EvaluationOutcome]:
         """Simulate ``application`` on every design, in design order.
 
-        Parallel execution rebuilds the application in each worker
-        (program iterators are closures and do not pickle), which is
-        only faithful for applications tagged with a ``registry_key``
-        (default registry builds); customized or hand-built
-        applications always run serially.
+        With a cache, each design is first looked up in the pipeline's
+        replay stage persisted under the cache directory; only the
+        misses are simulated, and stored there. Parallel execution
+        rebuilds the application in each worker (program iterators are
+        closures and do not pickle), which is only faithful for
+        applications tagged with a ``registry_key`` (default registry
+        builds); customized or hand-built applications always run
+        serially, and are never cached (their replays are unkeyed).
         """
         with _tracing.span("engine.evaluate", designs=len(designs)):
-            if (
-                self.jobs > 1
-                and len(designs) > 1
-                and getattr(application, "registry_key", None) is not None
-            ):
-                return self._evaluate_parallel(application, designs, budget)
+            pipeline = self._stage_runner()
+            fingerprints: List[Optional[str]] = [None] * len(designs)
+            replays: List[Optional["ReplayArtifact"]] = [None] * len(designs)
+            if pipeline is not None:
+                driver = application.driver()
+                for index, design in enumerate(designs):
+                    fingerprint = pipeline.replay_fingerprint(
+                        driver, design, budget
+                    )
+                    if fingerprint is not None:
+                        fingerprints[index] = fingerprint
+                        replays[index] = pipeline.lookup_replay(fingerprint)
+            missing = [
+                index for index, replay in enumerate(replays) if replay is None
+            ]
+            simulated = self._simulate_designs(
+                application,
+                [designs[index] for index in missing],
+                budget,
+                [fingerprints[index] for index in missing],
+            )
+            for index, replay in zip(missing, simulated):
+                replays[index] = replay
+                if fingerprints[index] is not None:
+                    pipeline.record_replay(replay)
             return [
-                _simulate_outcome(
-                    application,
-                    design.it.as_list(),
-                    design.ti.as_list(),
-                    design.label,
-                    design.bus_count,
-                    budget,
+                EvaluationOutcome(
+                    label=design.label,
+                    bus_count=design.bus_count,
+                    stats=replay.stats,
+                    critical_stats=replay.critical_stats,
+                    finished=replay.finished,
                 )
-                for design in designs
+                for design, replay in zip(designs, replays)
             ]
 
+    def _simulate_designs(
+        self,
+        application,
+        designs: Sequence,
+        budget: int,
+        fingerprints: Sequence[Optional[str]],
+    ) -> List["ReplayArtifact"]:
+        if (
+            self.jobs > 1
+            and len(designs) > 1
+            and getattr(application, "registry_key", None) is not None
+        ):
+            return self._evaluate_parallel(
+                application, designs, budget, fingerprints
+            )
+        return [
+            _simulate_design(application, design, budget, fingerprint)
+            for design, fingerprint in zip(designs, fingerprints)
+        ]
+
     def _evaluate_parallel(
-        self, application, designs: Sequence, budget: int
-    ) -> List[EvaluationOutcome]:
+        self,
+        application,
+        designs: Sequence,
+        budget: int,
+        fingerprints: Sequence[Optional[str]],
+    ) -> List["ReplayArtifact"]:
         workers = min(self.jobs, len(designs))
 
         def make_pool() -> ProcessPoolExecutor:
@@ -776,28 +861,19 @@ class ExecutionEngine:
             )
 
         def submit_one(pool: ProcessPoolExecutor, index: int, attempt: int):
-            design = designs[index]
             return pool.submit(
                 _evaluate_in_worker,
                 index,
                 application.registry_key,
-                tuple(design.it.binding),
-                tuple(design.ti.binding),
-                design.label,
-                design.bus_count,
+                designs[index],
                 budget,
+                fingerprints[index],
                 attempt,
             )
 
-        def serial_one(index: int) -> EvaluationOutcome:
-            design = designs[index]
-            return _simulate_outcome(
-                application,
-                design.it.as_list(),
-                design.ti.as_list(),
-                design.label,
-                design.bus_count,
-                budget,
+        def serial_one(index: int) -> "ReplayArtifact":
+            return _simulate_design(
+                application, designs[index], budget, fingerprints[index]
             )
 
         return self._pool_map(len(designs), make_pool, submit_one, serial_one)

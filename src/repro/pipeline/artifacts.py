@@ -161,9 +161,12 @@ def replay_stage_spec(
     (:meth:`repro.platform.drivers.WorkloadDriver.workload_key`), which
     covers the stimulus *and* the platform it runs on; the design enters
     through its raw bindings so equal fabrics share replays whatever
-    their labels.
+    their labels. ``CACHE_SCHEMA_VERSION`` is folded in for the reason
+    :func:`collect_stage_spec` gives: a program workload is keyed by
+    name, so a program or simulator change must move this key too.
     """
     return {
+        "schema": CACHE_SCHEMA_VERSION,
         "workload": workload_key,
         "it": list(design.it.binding),
         "ti": list(design.ti.binding),

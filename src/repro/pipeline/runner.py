@@ -35,8 +35,15 @@ deliberately recomputed there so solver-level observability (solve
 counters, benchmarks) keeps meaning "this point was solved", and
 collection artifacts are not retained so the global store never pins
 callers' traces in memory. Callers that want binding or trace reuse --
-the suite runner, or anyone constructing a :class:`PipelineRunner`
-explicitly -- opt in per runner.
+the suite runner, the daemon's jobs, an engine with a cache directory,
+or anyone constructing a :class:`PipelineRunner` explicitly -- opt in
+per runner (:meth:`PipelineRunner.for_cache_dir`).
+
+The persisted search/binding entry is keyed by what the solver reads --
+the windowed problem, the conflict pairs and the binding-stage
+configuration slice -- not by the overlap threshold that produced the
+pairs: a fresh threshold inducing an already-solved conflict graph
+loads the solved binding instead of solving it again.
 """
 
 from __future__ import annotations
@@ -88,6 +95,7 @@ __all__ = [
     "PipelineRunner",
     "shared_runner",
     "reset_shared_runner",
+    "simulate_replay",
     "describe_stages",
 ]
 
@@ -164,6 +172,21 @@ class PipelineRunner:
         self.store = store if store is not None else ArtifactStore()
         self.memoize_bindings = memoize_bindings
         self.retain_traces = retain_traces
+
+    @classmethod
+    def for_cache_dir(cls, cache_dir=None) -> "PipelineRunner":
+        """A runner memoizing every stage, persisting under ``cache_dir``
+        (in memory only when it is ``None``).
+
+        The disk layer is a :class:`~repro.exec.cache.ResultCache`
+        instance of its own: stage entries share the directory with
+        whole-result entries (one prune covers both) without counting
+        in the hit/miss statistics callers observe on an engine's cache.
+        """
+        from repro.exec.cache import ResultCache
+
+        disk = ResultCache(cache_dir) if cache_dir is not None else None
+        return cls(store=ArtifactStore(disk=disk))
 
     @property
     def counters(self):
@@ -376,14 +399,33 @@ class PipelineRunner:
         conflicts: ConflictArtifact,
         config: SynthesisConfig,
     ) -> BindingArtifact:
-        """Search the minimum configuration and optimize the binding."""
+        """Search the minimum configuration and optimize the binding.
+
+        The artifact's fingerprint derives from the conflict stage's
+        (and so from the overlap threshold), which keeps design
+        fingerprints threshold-specific. The persisted entry is keyed
+        by the conflict *pairs* instead: search and binding read the
+        windowed problem, the pair set (never the rule names that
+        produced a pair) and the binding-stage slice, so every threshold
+        inducing one conflict graph shares one solve.
+        """
+        spec = binding_stage_spec(config)
         fingerprint = stage_fingerprint(
-            "bind",
-            [windowed.fingerprint, conflicts.fingerprint],
-            binding_stage_spec(config),
+            "bind", [windowed.fingerprint, conflicts.fingerprint], spec
+        )
+        pairs = [
+            [int(i), int(j)] for i, j in conflicts.conflicts.conflicting_pairs()
+        ]
+        disk_key = stage_fingerprint(
+            "bind", [windowed.fingerprint, pairs], spec
         )
         return self._bind_at(
-            "bind", fingerprint, windowed.problem, conflicts.conflicts, config
+            "bind",
+            fingerprint,
+            windowed.problem,
+            conflicts.conflicts,
+            config,
+            disk_key=disk_key,
         )
 
     def bind_merged(
@@ -417,7 +459,11 @@ class PipelineRunner:
         problem: CrossbarDesignProblem,
         conflicts: ConflictAnalysis,
         config: SynthesisConfig,
+        disk_key: Optional[str] = None,
     ) -> BindingArtifact:
+        # The in-memory layer is keyed by the artifact's fingerprint,
+        # the disk layer by ``disk_key`` (the fingerprint by default).
+        disk_key = disk_key or fingerprint
         # Warm-start slot: keyed by problem shape + binding config, NOT
         # traffic content -- so an edited suite that (correctly) misses
         # the artifact cache still seeds its re-solve with the previous
@@ -432,7 +478,7 @@ class PipelineRunner:
             if cached is not None:
                 self.counters.record_memo_hit(stage)
                 return cached
-            payload = self.store.get_payload(fingerprint)
+            payload = self.store.get_payload(disk_key)
             if payload is not None:
                 try:
                     artifact = BindingArtifact.from_payload(
@@ -473,7 +519,7 @@ class PipelineRunner:
         artifact = _timed_stage(stage, fingerprint, _compute)
         if self.memoize_bindings:
             self.store.put(fingerprint, artifact)
-            self.store.put_payload(fingerprint, artifact.to_payload())
+            self.store.put_payload(disk_key, artifact.to_payload())
             self.store.put_warm(warm_key, artifact.binding.binding)
         return artifact
 
@@ -639,7 +685,7 @@ class PipelineRunner:
         artifact = _timed_stage(
             "replay",
             fingerprint or "",
-            lambda: _run_replay(
+            lambda: simulate_replay(
                 driver, design, budget, fingerprint or "", label
             ),
         )
@@ -649,14 +695,15 @@ class PipelineRunner:
         return artifact
 
 
-def _run_replay(
+def simulate_replay(
     driver: WorkloadDriver,
     design: CrossbarDesign,
     budget: int,
     fingerprint: str,
     label: str = "",
 ) -> ReplayArtifact:
-    """Execute one replay simulation and distill the artifact."""
+    """Execute one replay simulation and distill the artifact (the
+    replay stage and the engine's design evaluations both land here)."""
     result = simulate_workload(
         driver, design.it.as_list(), design.ti.as_list(), budget
     )

@@ -56,7 +56,6 @@ from repro.core.problem import CrossbarDesignProblem
 from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
 from repro.core.validate import audit_binding
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache
 from repro.exec.engine import ExecutionEngine, ReplayTask, SynthesisTask
 from repro.exec.serialize import SynthesisResult, result_to_dict
 from repro.pipeline.artifacts import (
@@ -65,7 +64,7 @@ from repro.pipeline.artifacts import (
     stage_fingerprint,
 )
 from repro.pipeline.runner import PipelineRunner
-from repro.pipeline.store import ArtifactStore, StageCounters
+from repro.pipeline.store import StageCounters
 from repro.platform.drivers import TraceDrivenInitiator, replay_platform
 from repro.platform.metrics import LatencyStats
 from repro.scenarios.model import Scenario, ScenarioSuite
@@ -376,15 +375,9 @@ class ScenarioSuiteRunner:
         self.min_weight = min_weight
         self.replay_latency = replay_latency
         if pipeline is None:
-            disk = None
-            if self.engine.cache is not None:
-                # A separate ResultCache *instance* on the engine's
-                # directory: stage entries share the directory (one
-                # prune covers both) without polluting the whole-result
-                # hit/miss statistics callers observe on engine.cache.
-                disk = ResultCache(self.engine.cache.cache_dir)
-            pipeline = PipelineRunner(
-                store=ArtifactStore(disk=disk), memoize_bindings=True
+            cache = self.engine.cache
+            pipeline = PipelineRunner.for_cache_dir(
+                cache.cache_dir if cache is not None else None
             )
         self.pipeline = pipeline
         self.last_run_breakdown: Dict[str, Dict[str, int]] = {}

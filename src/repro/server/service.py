@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import CrossbarSynthesizer, SynthesisConfig
 from repro.core.instrumentation import SOLVE_COUNTER
-from repro.exec.cache import ResultCache
 from repro.exec.engine import ExecutionEngine
 from repro.exec.fingerprint import task_key, trace_fingerprint
 from repro.exec.serialize import (
@@ -48,7 +47,7 @@ from repro.exec.serialize import (
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.obs.jsonlog import JsonLogger
-from repro.pipeline import ArtifactStore, PipelineRunner
+from repro.pipeline import PipelineRunner
 from repro.resilience import fault_summary
 from repro.server.coalesce import RequestCoalescer
 from repro.server.jobs import Job, JobQueue
@@ -339,13 +338,11 @@ class SynthesisService:
 
     def _job_runner(self) -> PipelineRunner:
         """A job-scoped stage runner persisting through the shared
-        cache directory (separate :class:`ResultCache` instance, same
-        accounting discipline as the suite runner's)."""
-        disk = None
-        if self.engine.cache is not None:
-            disk = ResultCache(self.engine.cache.cache_dir)
-        return PipelineRunner(
-            store=ArtifactStore(disk=disk), memoize_bindings=True
+        cache directory (same accounting discipline as the suite
+        runner's)."""
+        cache = self.engine.cache
+        return PipelineRunner.for_cache_dir(
+            cache.cache_dir if cache is not None else None
         )
 
     @staticmethod

@@ -94,6 +94,56 @@ class TestReplayStage:
         assert warm.counters.computed.get("replay") == 1
         assert recomputed.to_payload() == artifact.to_payload()
 
+    def test_simulator_schema_bump_moves_the_key(self, monkeypatch):
+        """Program workloads are keyed by name, so a simulator or
+        program change (which bumps ``CACHE_SCHEMA_VERSION``) must move
+        their replay keys."""
+        from repro.apps import build_application, default_full_crossbar_trace
+        from repro.core import full_crossbar_design
+        from repro.pipeline import artifacts
+
+        driver = build_application("qsort").driver()
+        design = full_crossbar_design(default_full_crossbar_trace("qsort"))
+        before = PipelineRunner().replay_fingerprint(driver, design)
+        monkeypatch.setattr(
+            artifacts, "CACHE_SCHEMA_VERSION",
+            artifacts.CACHE_SCHEMA_VERSION + 1,
+        )
+        assert PipelineRunner().replay_fingerprint(driver, design) != before
+
+
+def strip_cache_line(out: str) -> str:
+    return "\n".join(
+        line for line in out.splitlines() if not line.startswith("cache:")
+    )
+
+
+class TestWarmCompare:
+    def test_warm_compare_simulates_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``compare`` looks every design up in the replay stage before
+        simulating it: a warm rerun (serial, after a pooled cold run)
+        prints the same report without a single simulation."""
+        from repro.apps import registry
+        from repro.cli import main
+        from repro.platform import SIMULATION_COUNTER
+
+        monkeypatch.setattr(registry, "_DEFAULT_RUNS", {})
+        argv = ["compare", "qsort", "--cache-dir", str(tmp_path)]
+        assert main([*argv, "--jobs", "2"]) == 0
+        cold = strip_cache_line(capsys.readouterr().out)
+
+        registry._DEFAULT_RUNS.clear()
+        SIMULATION_COUNTER.reset()
+        assert main(argv) == 0
+        assert SIMULATION_COUNTER.runs == 0
+        assert strip_cache_line(capsys.readouterr().out) == cold
+
+        registry._DEFAULT_RUNS.clear()
+        assert main(["compare", "qsort"]) == 0
+        assert strip_cache_line(capsys.readouterr().out) == cold
+
 
 class TestWindowSidecars:
     def test_fresh_runner_rebuilds_window_from_npz(self, trace, tmp_path):

@@ -55,3 +55,12 @@ def test_milp_design_loads_the_backend_on_demand():
     loaded = loaded_after(run_cli(["design", "qsort", "--backend", "milp"]))
     assert "scipy.optimize" in loaded
     assert "networkx" not in loaded
+
+
+def test_fresh_threshold_on_a_solved_graph_loads_no_scipy_optimize(tmp_path):
+    """qsort induces one conflict graph at 30% and 31%: the second run
+    loads the solved bindings from the cache directory and never solves."""
+    argv = ["design", "qsort", "--backend", "milp", "--cache-dir",
+            str(tmp_path), "--threshold"]
+    assert "scipy.optimize" in loaded_after(run_cli([*argv, "0.30"]))
+    assert "scipy.optimize" not in loaded_after(run_cli([*argv, "0.31"]))
